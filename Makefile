@@ -1,7 +1,7 @@
 GO ?= go
 
 .PHONY: check build vet vettool lint test race fault-smoke chaos conformance bench bench-smoke \
-	bench-baseline bench-diff serve-smoke fuzz cover jit-diff cross-build
+	bench-baseline bench-diff serve-smoke fuzz cover jit-diff cross-build perfbench-test
 
 build:
 	$(GO) build ./...
@@ -30,6 +30,12 @@ vettool:
 
 test:
 	$(GO) test ./...
+
+# The benchmark's helper tests: perfbench is a nested module (it imports
+# this one through a replace directive), so the root `go test ./...` never
+# reaches it.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 # Race-check the concurrent packages (worker pools, metrics counters,
 # profile cache singleflight, candidate cache, parallel search seeds,
@@ -122,4 +128,4 @@ cover:
 	$(GO) test -coverprofile=coverage.out ./internal/...
 	$(GO) tool cover -func=coverage.out | tail -1
 
-check: lint build test race fault-smoke chaos
+check: lint build test perfbench-test race fault-smoke chaos

@@ -3,6 +3,7 @@ package explore
 import (
 	"context"
 	"fmt"
+	"sort"
 	"strings"
 
 	"compisa/internal/compiler"
@@ -193,7 +194,7 @@ func (s *Searcher) Fig15MigrationOverhead(ctx context.Context, budget Budget, co
 	if err != nil {
 		return nil, err
 	}
-	si := newSuiteIndex(s.DB.Regions)
+	si := s.suite()
 	regions := s.DB.Regions
 
 	// Per-benchmark binary feature set: the CMP feature set the benchmark
@@ -351,8 +352,17 @@ func (r *Fig15Result) Format() string {
 		r.WithCost, r.DegradationPct)
 	fmt.Fprintf(&sb, "  schedule: %d steps, %d migrations, %d downgraded intervals\n",
 		r.Steps, r.Migrations, r.DowngradeSteps)
-	for k, n := range r.DowngradesByKind {
-		fmt.Fprintf(&sb, "    downgrade %-24s %d\n", k, n)
+	// Most frequent kind first, ties by name: map order is random.
+	kinds := make([]string, 0, len(r.DowngradesByKind))
+	for k := range r.DowngradesByKind {
+		kinds = append(kinds, k)
+	}
+	sort.Slice(kinds, func(i, j int) bool {
+		ni, nj := r.DowngradesByKind[kinds[i]], r.DowngradesByKind[kinds[j]]
+		return ni > nj || ni == nj && kinds[i] < kinds[j]
+	})
+	for _, k := range kinds {
+		fmt.Fprintf(&sb, "    downgrade %-24s %d\n", k, r.DowngradesByKind[k])
 	}
 	return sb.String()
 }

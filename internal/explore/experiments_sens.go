@@ -234,7 +234,7 @@ func (s *Searcher) Fig13AffinityMultiprogrammed(ctx context.Context) (*AffinityR
 		Share: map[string]map[string]float64{},
 	}
 	res.FeatureSets = distinctFS(cmp)
-	si := newSuiteIndex(s.DB.Regions)
+	si := s.suite()
 	stats := si.scheduleMP(&cmp.Cores, s.DB.Regions, nil)
 	for bench, byCore := range stats.TimeByBenchCore {
 		for coreIdx, t := range byCore {
@@ -319,20 +319,9 @@ type stepHook func(thread int, region int, core int, speedup float64, migrated b
 func (si *suiteIndex) scheduleMP(cores *[4]*Candidate, regions []workload.Region, hook stepHook) *MPScheduleStats {
 	st := &MPScheduleStats{TimeByBenchCore: map[string][4]float64{}}
 	total := 0.0
-	for _, mix := range si.mixes {
-		maxLen := 0
-		for _, b := range mix {
-			if l := len(si.benchRegions[b]); l > maxLen {
-				maxLen = l
-			}
-		}
-		prev := [4]int{-1, -1, -1, -1} // thread -> core
-		for t := 0; t < maxLen; t++ {
-			var phase [4]int
-			for i, b := range mix {
-				rs := si.benchRegions[b]
-				phase[i] = rs[t%len(rs)]
-			}
+	for m := range si.mixes {
+		prev := [4]int{-1, -1, -1, -1} // thread -> core, reset per mix
+		for _, phase := range si.mixSteps(m) {
 			best := -1.0e18
 			var bestPerm [4]int
 			for _, perm := range si.perms {

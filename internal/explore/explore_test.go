@@ -2,6 +2,7 @@ package explore
 
 import (
 	"context"
+	"strings"
 	"sync"
 	"testing"
 
@@ -303,5 +304,19 @@ func TestReferenceMetrics(t *testing.T) {
 		if m.Cycles <= 0 || m.Energy <= 0 {
 			t.Errorf("region %d: degenerate reference %+v", i, m)
 		}
+	}
+}
+
+// TestFig15FormatOrder: downgrade kinds print most frequent first, ties by
+// name, whatever the map's iteration order.
+func TestFig15FormatOrder(t *testing.T) {
+	r := &Fig15Result{DowngradesByKind: map[string]int{"simd": 22, "instruction complexity": 22, "predication": 16}}
+	out := r.Format()
+	for _, k := range []string{"instruction complexity", "simd", "predication"} {
+		i := strings.Index(out, "downgrade "+k)
+		if i < 0 {
+			t.Fatalf("%q missing or out of order in\n%s", k, r.Format())
+		}
+		out = out[i:]
 	}
 }

@@ -80,6 +80,9 @@ type Searcher struct {
 	cands map[Organization][]*Candidate
 	// frontier records completed searches for checkpoint/resume.
 	frontier map[string]SavedSearch
+	// si indexes DB.Regions for rescoring; like cands, it assumes the
+	// suite does not change once searching starts.
+	si *suiteIndex
 }
 
 // NewSearcher builds a Searcher over the full suite.
@@ -190,8 +193,7 @@ func (s *Searcher) resume(ctx context.Context, key string, obj Objective) (CMP, 
 		}
 		cores[i] = c
 	}
-	si := newSuiteIndex(s.DB.Regions)
-	cmp := CMP{Cores: cores, Score: si.score(&cores, obj)}
+	cmp := CMP{Cores: cores, Score: s.suite().score(&cores, obj)}
 	return cmp, true, nil
 }
 
@@ -229,6 +231,16 @@ func (s *Searcher) importFrontier(frontier map[string]SavedSearch) {
 			s.frontier[k] = v
 		}
 	}
+}
+
+// suite returns the suite index of DB.Regions, built on first use.
+func (s *Searcher) suite() *suiteIndex {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.si == nil {
+		s.si = newSuiteIndex(s.DB.Regions)
+	}
+	return s.si
 }
 
 // Regions exposes the suite the searcher evaluates over.

@@ -77,8 +77,35 @@ type suiteIndex struct {
 	benchRegions [][]int     // per benchmark: flattened region indices
 	weights      [][]float64 // per benchmark: region weights
 	mixes        [][4]int    // all 4-benchmark combinations
-	perms        [][4]int    // all assignments of 4 threads to 4 cores
+	perms        [][4]int    // all assignments of 4 threads to 4 cores (perms4)
+	// steps is the phase-step table of every mix, flattened in scoring
+	// order: step t of a mix runs region t mod len of each of its four
+	// benchmarks, for as many steps as its longest benchmark has regions.
+	// Mix m owns steps[mixStart[m]:mixStart[m+1]].
+	steps    [][4]int
+	mixStart []int
 }
+
+// perms4 lists the assignments of 4 threads to 4 cores in lexicographic
+// order, the order in which the schedulers break ties between them.
+var perms4 = func() [][4]int {
+	var out [][4]int
+	var permute func(rest []int, cur []int)
+	permute = func(rest, cur []int) {
+		if len(rest) == 0 {
+			var p [4]int
+			copy(p[:], cur)
+			out = append(out, p)
+			return
+		}
+		for i := range rest {
+			nr := append(append([]int{}, rest[:i]...), rest[i+1:]...)
+			permute(nr, append(cur, rest[i]))
+		}
+	}
+	permute([]int{0, 1, 2, 3}, nil)
+	return out
+}()
 
 func newSuiteIndex(regions []workload.Region) *suiteIndex {
 	si := &suiteIndex{}
@@ -118,62 +145,89 @@ func newSuiteIndex(regions []workload.Region) *suiteIndex {
 			}
 		}
 	}
-	var permute func(rest []int, cur []int)
-	permute = func(rest, cur []int) {
-		if len(rest) == 0 {
-			var p [4]int
-			copy(p[:], cur)
-			si.perms = append(si.perms, p)
-			return
-		}
-		for i := range rest {
-			nr := append(append([]int{}, rest[:i]...), rest[i+1:]...)
-			permute(nr, append(cur, rest[i]))
-		}
-	}
-	permute([]int{0, 1, 2, 3}, nil)
-	return si
-}
-
-// scoreMP evaluates a 4-core CMP on the multi-programmed scheduler: every
-// 4-benchmark mix runs with per-phase-step optimal thread-to-core
-// assignment (24 permutations), exactly the contention model of Section VI.
-func (si *suiteIndex) scoreMP(cores *[4]*Candidate, edp bool) float64 {
-	total := 0.0
-	steps := 0
-	for _, mix := range si.mixes {
+	si.perms = perms4
+	si.mixStart = make([]int, len(si.mixes)+1)
+	for m, mix := range si.mixes {
 		maxLen := 0
 		for _, b := range mix {
-			if l := len(si.benchRegions[b]); l > maxLen {
-				maxLen = l
-			}
+			maxLen = max(maxLen, len(si.benchRegions[b]))
 		}
-		for t := 0; t < maxLen; t++ {
+		si.mixStart[m+1] = si.mixStart[m] + maxLen
+	}
+	si.steps = make([][4]int, 0, si.mixStart[len(si.mixes)])
+	for m, mix := range si.mixes {
+		for t := 0; t < si.mixStart[m+1]-si.mixStart[m]; t++ {
 			var phase [4]int
 			for i, b := range mix {
 				rs := si.benchRegions[b]
 				phase[i] = rs[t%len(rs)]
 			}
-			best := math.Inf(-1)
-			for _, perm := range si.perms {
-				v := 0.0
-				for th := 0; th < 4; th++ {
-					core := cores[perm[th]]
-					if edp {
-						v -= core.NormEDP[phase[th]]
-					} else {
-						v += core.Speedup[phase[th]]
-					}
-				}
-				if v > best {
-					best = v
-				}
-			}
-			total += best / 4
-			steps++
+			si.steps = append(si.steps, phase)
 		}
 	}
-	return total / float64(steps)
+	return si
+}
+
+// mixSteps returns mix m's phase steps.
+func (si *suiteIndex) mixSteps(m int) [][4]int {
+	return si.steps[si.mixStart[m]:si.mixStart[m+1]]
+}
+
+// scoreMP evaluates a 4-core CMP on the multi-programmed scheduler: every
+// 4-benchmark mix runs with per-phase-step optimal thread-to-core
+// assignment (24 permutations), exactly the contention model of Section VI.
+// It is the reference every faster MP scorer is checked against, and the
+// only source of a stored MP score outside homogeneous designs.
+func (si *suiteIndex) scoreMP(cores *[4]*Candidate, edp bool) float64 {
+	total := 0.0
+	for _, phase := range si.steps {
+		best := math.Inf(-1)
+		for _, perm := range si.perms {
+			v := 0.0
+			for th := 0; th < 4; th++ {
+				core := cores[perm[th]]
+				if edp {
+					v -= core.NormEDP[phase[th]]
+				} else {
+					v += core.Speedup[phase[th]]
+				}
+			}
+			if v > best {
+				best = v
+			}
+		}
+		total += best / 4
+	}
+	return total / float64(len(si.steps))
+}
+
+// scoreUniform scores the homogeneous CMP {c, c, c, c}. Under an MP
+// objective all 24 permutations of scoreMP sum the same four values in the
+// same (thread) order, so one sum per step is bit-identical to scoreMP.
+func (si *suiteIndex) scoreUniform(c *Candidate, obj Objective) float64 {
+	if obj.SingleThread() {
+		cores := [4]*Candidate{c, c, c, c}
+		return si.score(&cores, obj)
+	}
+	edp := obj == ObjMPEDP
+	total := 0.0
+	for _, phase := range si.steps {
+		v := 0.0
+		for th := 0; th < 4; th++ {
+			if edp {
+				v -= c.NormEDP[phase[th]]
+			} else {
+				v += c.Speedup[phase[th]]
+			}
+		}
+		// scoreMP's running max, so a NaN step sum scores -Inf there too.
+		best := math.Inf(-1)
+		if v > best {
+			best = v
+		}
+		total += best / 4
+	}
+	return total / float64(len(si.steps))
 }
 
 // scoreST evaluates single-thread objectives: each benchmark migrates every
@@ -215,6 +269,136 @@ func (si *suiteIndex) score(cores *[4]*Candidate, obj Objective) float64 {
 	}
 }
 
+// Single-slot trials of an MP hill climb are scored incrementally. While
+// one slot is varied the other three cores stay fixed, so the 24
+// assignments of a step split by which thread runs on the varied slot: the
+// trial of candidate c scores step s as max_th(val(c, region_th) + B[s][th]),
+// where B[s][th] is the best of the 6 assignments of the other three threads
+// to the fixed cores. B is built once per (climb position, slot).
+//
+// The fast score is only a filter. Rounding error bound: scoreMP sums each
+// assignment as (((0+x0)+x1)+x2)+x3 and the table as ((0+y0)+y1)+y2 plus the
+// vacated thread's value. Each is within γ3·4K of the exact sum of the same
+// four values, where K bounds |value| over the four cores and γn = nu/(1−nu),
+// u = 2⁻⁵³. The max over the same 24 exact sums keeps that bound, and /4 is
+// exact, so each step's term differs by at most 2γ3·K. Both accumulate the
+// N steps in the same order, each running sum within γ(N−1)·N·K(1+γ3) of its
+// exact value, and the final /N rounds once more. So
+//
+//	|fast − scoreMP| ≤ (2γ3 + 2γ(N−1) + 2u)·K·(1+O(Nu)) < (2N+8)·(u·K + η) = E,
+//
+// η = 2⁻¹⁰⁷⁴ covering underflow. A trial is rejected when fast ≤ fl(X − δ),
+// X = best.Score+1e-12 rounded exactly as in the accept test. Then
+// scoreMP ≤ X − δ + u(|X|+δ) + E, which is ≤ X whenever δ(1−u) ≥ E + u|X|.
+// δ = 2(E + u|X|) meets that; the factor 2 also absorbs the rounding of δ's
+// own arithmetic. Every trial that passes the filter is re-scored by scoreMP,
+// which alone decides acceptance, so chosen designs and stored scores are
+// exactly those of a scoreMP-only climb.
+const (
+	unitRoundoff = 0x1p-53
+	minSubnormal = 0x1p-1074
+)
+
+// otherThreads[th] lists the threads other than th, in thread order.
+var otherThreads = [4][3]int{{1, 2, 3}, {0, 2, 3}, {0, 1, 3}, {0, 1, 2}}
+
+// perms3 are the six assignments of three threads to three cores.
+var perms3 = [6][3]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}}
+
+// objValues writes c's per-region MP objective values (speedup, or negated
+// normalized EDP) into dst and returns them with their largest magnitude.
+func objValues(dst []float64, c *Candidate, edp bool) ([]float64, float64) {
+	k := 0.0
+	for r := range c.Speedup {
+		v := c.Speedup[r]
+		if edp {
+			v = -c.NormEDP[r]
+		}
+		dst = append(dst, v)
+		k = max(k, math.Abs(v))
+	}
+	return dst, k
+}
+
+// mpTrials scores the single-slot trials of one MP climb over a fixed pool.
+type mpTrials struct {
+	si     *suiteIndex
+	edp    bool
+	n      int       // regions per candidate
+	vals   []float64 // pool objective values, n per candidate
+	k      []float64 // per pool candidate: largest |value|
+	fixed  [3][]float64
+	kFixed float64
+	table  []float64 // B, 4 per step
+	errPer float64   // E per unit of K: (2N+8)·u
+	errAbs float64   // E's underflow term: (2N+8)·η
+}
+
+func newMPTrials(si *suiteIndex, pool []*Candidate, edp bool) *mpTrials {
+	nSteps := float64(2*len(si.steps) + 8)
+	t := &mpTrials{si: si, edp: edp, k: make([]float64, len(pool)),
+		table:  make([]float64, 4*len(si.steps)),
+		errPer: nSteps * unitRoundoff, errAbs: nSteps * minSubnormal}
+	if len(pool) > 0 {
+		t.n = len(pool[0].Speedup)
+		t.vals = make([]float64, 0, len(pool)*t.n)
+	}
+	for i, c := range pool {
+		t.vals, t.k[i] = objValues(t.vals, c, edp)
+	}
+	return t
+}
+
+// fix builds the slot table for varying slot with the other cores fixed.
+func (t *mpTrials) fix(cores *[4]*Candidate, slot int) {
+	t.kFixed = 0
+	f := 0
+	for j, c := range cores {
+		if j == slot {
+			continue
+		}
+		var k float64
+		t.fixed[f], k = objValues(t.fixed[f][:0], c, t.edp)
+		t.kFixed = max(t.kFixed, k)
+		f++
+	}
+	for s, phase := range t.si.steps {
+		for th, o := range otherThreads {
+			best := math.Inf(-1)
+			for _, p := range perms3 {
+				v := 0.0
+				v += t.fixed[p[0]][phase[o[0]]]
+				v += t.fixed[p[1]][phase[o[1]]]
+				v += t.fixed[p[2]][phase[o[2]]]
+				best = max(best, v)
+			}
+			t.table[4*s+th] = best
+		}
+	}
+}
+
+// score is the fast score of pool candidate i in the fixed slot.
+func (t *mpTrials) score(i int) float64 {
+	v := t.vals[i*t.n : (i+1)*t.n]
+	total := 0.0
+	for s, phase := range t.si.steps {
+		b := t.table[4*s : 4*s+4 : 4*s+4]
+		m := max(v[phase[0]]+b[0], v[phase[1]]+b[1], v[phase[2]]+b[2], v[phase[3]]+b[3])
+		total += m / 4
+	}
+	return total / float64(len(t.si.steps))
+}
+
+// rejects reports whether pool candidate i in the fixed slot provably
+// cannot beat bestScore by the climb's 1e-12 margin (see the bound above).
+// A non-finite bound filters nothing.
+func (t *mpTrials) rejects(i int, bestScore float64) bool {
+	x := bestScore + 1e-12
+	e := t.errPer*max(t.kFixed, t.k[i]) + t.errAbs
+	delta := 2 * (e + unitRoundoff*math.Abs(x))
+	return delta < math.Inf(1) && t.score(i) <= x-delta
+}
+
 // feasible checks a full CMP against the budget.
 func feasible(cores *[4]*Candidate, b Budget, st bool) bool {
 	peak, area := 0.0, 0.0
@@ -254,24 +438,47 @@ type SearchSpec struct {
 // candidates are dropped; the survivors are ranked by objective-relevant
 // utility and capped, always keeping each region's top specialists so
 // heterogeneity stays discoverable.
-func prune(spec SearchSpec, si *suiteIndex) []*Candidate {
-	var ok []*Candidate
-	st := spec.Objective.SingleThread()
+func prune(spec SearchSpec) []*Candidate {
+	// ranked carries a candidate's sort keys, computed once.
+	type ranked struct {
+		c                *Candidate
+		util, effW, effA float64
+	}
+	isEDP := spec.Objective == ObjMPEDP || spec.Objective == ObjSTEDP
+	var ok []ranked
 	for _, c := range spec.Candidates {
 		if spec.Constraint != nil && !spec.Constraint(c) {
 			continue
 		}
-		if st {
-			if spec.Budget.PeakW > 0 && c.PeakW > spec.Budget.PeakW {
-				continue
-			}
-		} else if spec.Budget.PeakW > 0 && c.PeakW > spec.Budget.PeakW {
+		// Per-core peak power: every core of an MP design, and the one
+		// powered core of an ST design, must fit the budget alone.
+		if spec.Budget.PeakW > 0 && c.PeakW > spec.Budget.PeakW {
 			continue
 		}
 		if spec.Budget.AreaMM2 > 0 && c.AreaMM2 > spec.Budget.AreaMM2 {
 			continue
 		}
-		ok = append(ok, c)
+		r := ranked{c: c}
+		if isEDP {
+			s := 0.0
+			for _, v := range c.NormEDP {
+				s += v
+			}
+			r.util = -s
+		} else {
+			r.util = c.MeanSpeedup()
+		}
+		// Efficiency ranks: under power/area budgets the best building
+		// blocks maximize value per watt / per mm², not raw value. For
+		// speedup objectives that is utility/cost; for (negative-valued)
+		// EDP objectives it is utility*cost, which prefers low EDP at low
+		// cost.
+		if isEDP {
+			r.effW, r.effA = r.util*c.PeakW, r.util*c.AreaMM2
+		} else {
+			r.effW, r.effA = r.util/c.PeakW, r.util/c.AreaMM2
+		}
+		ok = append(ok, r)
 	}
 	if len(ok) == 0 {
 		return nil
@@ -280,84 +487,55 @@ func prune(spec SearchSpec, si *suiteIndex) []*Candidate {
 	if max <= 0 {
 		max = 300
 	}
-	utility := func(c *Candidate) float64 {
-		if spec.Objective == ObjMPEDP || spec.Objective == ObjSTEDP {
-			s := 0.0
-			for _, v := range c.NormEDP {
-				s += v
-			}
-			return -s
-		}
-		return c.MeanSpeedup()
-	}
-	sort.Slice(ok, func(i, j int) bool { return utility(ok[i]) > utility(ok[j]) })
+	sort.Slice(ok, func(i, j int) bool { return ok[i].util > ok[j].util })
 	keep := map[*Candidate]bool{}
 	for i := 0; i < len(ok) && i < max*3/4; i++ {
-		keep[ok[i]] = true
+		keep[ok[i].c] = true
 	}
-	// Per-ISA heads: every feature set keeps its best configurations so a
+	// keepHeads keeps up to n candidates per ISA, in s's order, so a
 	// globally mediocre ISA can still contribute its specialist cores.
-	perISA := map[string]int{}
-	for _, c := range ok {
-		k := c.DP.ISA.Key()
-		if perISA[k] < 8 {
-			keep[c] = true
-			perISA[k]++
+	keepHeads := func(s []ranked, n int) {
+		perISA := map[string]int{}
+		for _, r := range s {
+			k := r.c.DP.ISA.Key()
+			if perISA[k] < n {
+				keep[r.c] = true
+				perISA[k]++
+			}
 		}
+	}
+	keepHeads(ok, 8)
+	// sortedBy returns ok re-sorted by less, keeping its first n.
+	sortedBy := func(less func(a, b *ranked) bool, n int) []ranked {
+		s := append([]ranked{}, ok...)
+		sort.Slice(s, func(i, j int) bool { return less(&s[i], &s[j]) })
+		for i := 0; i < len(s) && i < n; i++ {
+			keep[s[i].c] = true
+		}
+		return s
 	}
 	// Keep the smallest/coolest cores so tight budgets always have a
 	// feasible homogeneous seed and cheap filler cores.
-	keepSortedBy := func(less func(a, b *Candidate) bool, n int) {
-		s := append([]*Candidate{}, ok...)
-		sort.Slice(s, func(i, j int) bool { return less(s[i], s[j]) })
-		for i := 0; i < len(s) && i < n; i++ {
-			keep[s[i]] = true
-		}
-	}
-	keepSortedBy(func(a, b *Candidate) bool { return a.AreaMM2 < b.AreaMM2 }, 25)
-	keepSortedBy(func(a, b *Candidate) bool { return a.PeakW < b.PeakW }, 25)
-	// Efficiency ranks: under power/area budgets the best building blocks
-	// maximize value per watt / per mm², not raw value. For speedup
-	// objectives that is utility/cost; for (negative-valued) EDP
-	// objectives it is utility*cost, which prefers low EDP at low cost.
-	isEDP := spec.Objective == ObjMPEDP || spec.Objective == ObjSTEDP
-	eff := func(c *Candidate, cost float64) float64 {
-		if isEDP {
-			return utility(c) * cost
-		}
-		return utility(c) / cost
-	}
-	keepSortedBy(func(a, b *Candidate) bool {
-		return eff(a, a.PeakW) > eff(b, b.PeakW)
-	}, 80)
-	keepSortedBy(func(a, b *Candidate) bool {
-		return eff(a, a.AreaMM2) > eff(b, b.AreaMM2)
-	}, 80)
+	sortedBy(func(a, b *ranked) bool { return a.c.AreaMM2 < b.c.AreaMM2 }, 25)
+	sortedBy(func(a, b *ranked) bool { return a.c.PeakW < b.c.PeakW }, 25)
+	byEffW := sortedBy(func(a, b *ranked) bool { return a.effW > b.effW }, 80)
+	sortedBy(func(a, b *ranked) bool { return a.effA > b.effA }, 80)
 	// Per-ISA efficiency heads, mirroring the per-ISA utility heads.
-	perISAEff := map[string]int{}
-	byEff := append([]*Candidate{}, ok...)
-	sort.Slice(byEff, func(i, j int) bool { return eff(byEff[i], byEff[i].PeakW) > eff(byEff[j], byEff[j].PeakW) })
-	for _, c := range byEff {
-		k := c.DP.ISA.Key()
-		if perISAEff[k] < 6 {
-			keep[c] = true
-			perISAEff[k]++
-		}
-	}
+	keepHeads(byEffW, 6)
 	// Region specialists: best 3 per region per criterion.
-	nRegions := len(ok[0].Speedup)
+	nRegions := len(ok[0].c.Speedup)
 	for r := 0; r < nRegions; r++ {
 		type rc struct {
 			c *Candidate
 			v float64
 		}
 		var per []rc
-		for _, c := range ok {
-			v := c.Speedup[r]
-			if spec.Objective == ObjMPEDP || spec.Objective == ObjSTEDP {
-				v = -c.NormEDP[r]
+		for _, o := range ok {
+			v := o.c.Speedup[r]
+			if isEDP {
+				v = -o.c.NormEDP[r]
 			}
-			per = append(per, rc{c, v})
+			per = append(per, rc{o.c, v})
 		}
 		sort.Slice(per, func(i, j int) bool { return per[i].v > per[j].v })
 		for i := 0; i < 3 && i < len(per); i++ {
@@ -367,9 +545,9 @@ func prune(spec SearchSpec, si *suiteIndex) []*Candidate {
 	// The union of the utility head, the specialists, and the small cores
 	// is the search set; specialists must survive, so no further cap.
 	var out []*Candidate
-	for _, c := range ok {
-		if keep[c] {
-			out = append(out, c)
+	for _, r := range ok {
+		if keep[r.c] {
+			out = append(out, r.c)
 		}
 	}
 	return out
@@ -381,8 +559,17 @@ func prune(spec SearchSpec, si *suiteIndex) []*Candidate {
 // Cancellation of ctx aborts the climb promptly (the check sits inside the
 // per-candidate scoring loops) and returns ctx.Err().
 func Search(ctx context.Context, spec SearchSpec, regions []workload.Region) (CMP, error) {
+	return search(ctx, spec, regions, hillClimb)
+}
+
+// climbFunc hill-climbs seed over an explicit candidate pool.
+type climbFunc func(ctx context.Context, si *suiteIndex, spec SearchSpec, seed CMP, pool []*Candidate) CMP
+
+// search is Search with the hill climb as a parameter, so tests can run a
+// scoreMP-only reference climb through the same seeding and polish.
+func search(ctx context.Context, spec SearchSpec, regions []workload.Region, climb climbFunc) (CMP, error) {
 	si := newSuiteIndex(regions)
-	cands := prune(spec, si)
+	cands := prune(spec)
 	if len(cands) == 0 {
 		return CMP{}, fmt.Errorf("explore: no feasible candidates under %s", spec.Budget)
 	}
@@ -403,13 +590,25 @@ func Search(ctx context.Context, spec SearchSpec, regions []workload.Region) (CM
 			if !feasible(&cores, b, st) {
 				continue
 			}
-			s := si.score(&cores, spec.Objective)
+			s := si.scoreUniform(c, spec.Objective)
 			if !found || s > best.Score {
 				best = CMP{Cores: cores, Score: s}
 				found = true
 			}
 		}
 		return best, found
+	}
+	noSeed := fmt.Errorf("explore: no feasible homogeneous seed under %s", spec.Budget)
+	if spec.Homogeneous {
+		// Homogeneous organizations take the full-budget seed.
+		best, ok := bestHomogeneous(spec.Budget)
+		if err := ctx.Err(); err != nil {
+			return CMP{}, err
+		}
+		if !ok {
+			return CMP{}, noSeed
+		}
+		return best, nil
 	}
 	seedBudgets := []float64{1.0, 0.85, 0.7, 0.55}
 	var seeds []CMP
@@ -432,7 +631,7 @@ func Search(ctx context.Context, spec SearchSpec, regions []workload.Region) (CM
 	}
 	cheapCores := [4]*Candidate{cheapest, cheapest, cheapest, cheapest}
 	if feasible(&cheapCores, spec.Budget, st) {
-		seeds = append(seeds, CMP{Cores: cheapCores, Score: si.score(&cheapCores, spec.Objective)})
+		seeds = append(seeds, CMP{Cores: cheapCores, Score: si.scoreUniform(cheapest, spec.Objective)})
 	}
 	// Per-ISA homogeneous seeds: the best feasible 4x design of each of
 	// the strongest ISA choices, so pairwise ISA mixes are reachable.
@@ -450,7 +649,7 @@ func Search(ctx context.Context, spec SearchSpec, regions []workload.Region) (CM
 			if !feasible(&cores, spec.Budget, st) {
 				continue
 			}
-			s := si.score(&cores, spec.Objective)
+			s := si.scoreUniform(c, spec.Objective)
 			k := c.DP.ISA.Key()
 			if cur, ok := bestPer[k]; !ok || s > cur.score {
 				bestPer[k] = isaSeed{CMP{Cores: cores, Score: s}, s}
@@ -481,51 +680,11 @@ func Search(ctx context.Context, spec SearchSpec, regions []workload.Region) (CM
 		}
 	}
 	if len(seeds) == 0 {
-		return CMP{}, fmt.Errorf("explore: no feasible homogeneous seed under %s", spec.Budget)
-	}
-	if spec.Homogeneous {
-		// Homogeneous organizations take the full-budget seed.
-		best, _ := bestHomogeneous(spec.Budget)
-		if err := ctx.Err(); err != nil {
-			return CMP{}, err
-		}
-		return best, nil
+		return CMP{}, noSeed
 	}
 
-	// climb hill-climbs one seed over an explicit candidate pool; the pool
-	// is a parameter (not a captured variable) so the polish pass below can
-	// widen it for one call without mutating shared state.
-	climb := func(seed CMP, pool []*Candidate) CMP {
-		best := seed
-		// Re-score against the true budget (seed scores already match).
-		for iter := 0; iter < 12; iter++ {
-			improved := false
-			for slot := 0; slot < 4; slot++ {
-				cur := best
-				for _, c := range pool {
-					if ctx.Err() != nil {
-						return best
-					}
-					trial := cur.Cores
-					trial[slot] = c
-					if !feasible(&trial, spec.Budget, st) {
-						continue
-					}
-					s := si.score(&trial, spec.Objective)
-					if s > best.Score+1e-12 {
-						best = CMP{Cores: trial, Score: s}
-						improved = true
-					}
-				}
-			}
-			if !improved {
-				break
-			}
-		}
-		return best
-	}
 	results, err := par.Map(ctx, len(seeds), 0, func(i int) (CMP, error) {
-		return climb(seeds[i], cands), nil
+		return climb(ctx, si, spec, seeds[i], cands), nil
 	})
 	if err != nil {
 		return CMP{}, err
@@ -558,7 +717,7 @@ func Search(ctx context.Context, spec SearchSpec, regions []workload.Region) (CM
 			}
 		}
 	}
-	best = climb(best, extended)
+	best = climb(ctx, si, spec, best, extended)
 	if err := ctx.Err(); err != nil {
 		return CMP{}, err
 	}
@@ -568,4 +727,52 @@ func Search(ctx context.Context, spec SearchSpec, regions []workload.Region) (CM
 		return best.Cores[i].PeakW < best.Cores[j].PeakW
 	})
 	return best, nil
+}
+
+// hillClimb climbs seed by single-slot replacements from pool until no
+// replacement improves the score by more than 1e-12, for at most 12 rounds.
+// The pool is a parameter (not a captured variable) so the polish pass can
+// widen it for one call without mutating shared state. MP trials pass the
+// incremental filter (mpTrials) before scoreMP decides them.
+func hillClimb(ctx context.Context, si *suiteIndex, spec SearchSpec, seed CMP, pool []*Candidate) CMP {
+	st := spec.Objective.SingleThread()
+	var mp *mpTrials
+	if !st {
+		mp = newMPTrials(si, pool, spec.Objective == ObjMPEDP)
+	}
+	best := seed
+	for iter := 0; iter < 12; iter++ {
+		improved := false
+		for slot := 0; slot < 4; slot++ {
+			cur := best
+			if mp != nil {
+				mp.fix(&cur.Cores, slot)
+			}
+			for i, c := range pool {
+				if ctx.Err() != nil {
+					return best
+				}
+				if c == cur.Cores[slot] {
+					continue // the trial is cur itself, never an improvement
+				}
+				trial := cur.Cores
+				trial[slot] = c
+				if !feasible(&trial, spec.Budget, st) {
+					continue
+				}
+				if mp != nil && mp.rejects(i, best.Score) {
+					continue
+				}
+				s := si.score(&trial, spec.Objective)
+				if s > best.Score+1e-12 {
+					best = CMP{Cores: trial, Score: s}
+					improved = true
+				}
+			}
+		}
+		if !improved {
+			break
+		}
+	}
+	return best
 }
